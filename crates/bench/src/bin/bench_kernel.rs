@@ -3,7 +3,11 @@
 //! both precisions, and append the results to a repo-root
 //! `BENCH_kernel.json` so successive PRs can compare performance against
 //! history instead of a vibe. The metric is the paper's
-//! `(2d+3)·m·n / T` GFLOPS.
+//! `(2d+3)·m·n / T` GFLOPS. Each run records whether the kernel's phase
+//! probes were compiled in (`probes`, from `gsknn_core::obs::enabled()`):
+//! the default build ships without them, and `--features gsknn-core/obs`
+//! builds a slower, instrumented kernel that `bench-diff` gates only
+//! against runs of its own kind.
 //!
 //! Flags:
 //! * `--smoke`   — tiny shapes (CI: proves the harness runs, not perf)
@@ -245,6 +249,7 @@ fn main() {
         "unix_time": unix_time,
         "smoke": args.smoke,
         "reps": args.reps,
+        "probes": gsknn_core::obs::enabled(),
         "rows": (Value::Array(rows.iter().map(Row::to_json).collect())),
         "fused_f32_over_f64": (Value::Object(
             speedups

@@ -1126,7 +1126,9 @@ fn load_runs(path: &PathBuf) -> Result<Option<Vec<serde_json::Value>>, CliError>
 }
 
 /// Split a trajectory into the newest run and its comparable priors:
-/// same `--smoke` flag, and (when both carry one) the same `workload`.
+/// same `--smoke` flag, and (when both carry one) the same `workload`
+/// and the same kernel `probes` state — a build with the phase probes
+/// compiled in runs the kernel slower by design, not by regression.
 fn candidate_and_priors(
     runs: &[serde_json::Value],
     smoke_ok: bool,
@@ -1143,10 +1145,12 @@ fn candidate_and_priors(
     }
     let comparable = |r: &serde_json::Value| {
         r.get("smoke").and_then(|v| v.as_bool()).unwrap_or(false) == cand_smoke
-            && match (r.get("workload"), cand.get("workload")) {
-                (Some(a), Some(b)) => a == b,
-                _ => true,
-            }
+            && ["workload", "probes"]
+                .iter()
+                .all(|key| match (r.get(key), cand.get(key)) {
+                    (Some(a), Some(b)) => a == b,
+                    _ => true,
+                })
     };
     let priors: Vec<serde_json::Value> = runs[..runs.len() - 1]
         .iter()
@@ -1292,7 +1296,7 @@ fn serve_metrics(cand: &serde_json::Value, priors: &[serde_json::Value]) -> Vec<
             name: "router kernel_pct".to_string(),
             baseline: priors
                 .iter()
-                .filter_map(|r| stage_val(r))
+                .filter_map(stage_val)
                 .filter(|&v| v > 0.0)
                 .collect(),
             candidate: val,
@@ -1804,6 +1808,22 @@ mod tests {
         );
         let err = cmd_bench_diff(&argmap(&flags)).unwrap_err();
         assert!(err.0.contains("REGRESSED"), "{}", err.0);
+
+        // ...but a probes-on run is not gated against probes-off history
+        let with_probes = |gflops: f64, probes: bool| {
+            let mut run = kernel_run(gflops);
+            if let serde_json::Value::Object(members) = &mut run {
+                members.push(("probes".to_string(), probes.into()));
+            }
+            run
+        };
+        write_trajectory(
+            &kernel,
+            "kernel",
+            vec![with_probes(10.0, false), with_probes(5.0, true)],
+        );
+        let out = cmd_bench_diff(&argmap(&flags)).unwrap();
+        assert!(out.contains("0 regression(s)"), "{out}");
         std::fs::remove_dir_all(dir).ok();
     }
 

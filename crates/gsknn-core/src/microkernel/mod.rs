@@ -108,10 +108,13 @@ pub enum PassMode<'a, T: GsknnScalar = f64> {
 
 /// Precision-specific entry points of the fused kernel. Implemented for
 /// `f64` (the paper's 8×4 tile) and `f32` (8×8); each implementor owns
-/// its SIMD dispatch, honoring the process-wide [`SimdLevel`].
+/// its SIMD dispatch, honoring the [`SimdLevel`] it is handed.
 pub trait FusedScalar: GsknnScalar {
-    /// One fused micro-kernel pass; see [`tile_pass`] for the contract.
+    /// One fused micro-kernel pass at `level`; see [`tile_pass`] for the
+    /// contract.
+    #[allow(clippy::too_many_arguments)]
     fn fused_tile_pass(
+        level: SimdLevel,
         kind: DistanceKind,
         dcb: usize,
         ap: &[Self],
@@ -150,14 +153,32 @@ pub fn tile_pass<T: FusedScalar>(
     r2: &[T],
     mode: PassMode<'_, T>,
 ) {
+    tile_pass_at(simd_level(), kind, dcb, ap, bp, q2, r2, mode)
+}
+
+/// [`tile_pass`] at an explicit SIMD level instead of the process-wide
+/// one, so a test can compare levels without racing kernels that run
+/// concurrently in the same process.
+#[allow(clippy::too_many_arguments)]
+fn tile_pass_at<T: FusedScalar>(
+    level: SimdLevel,
+    kind: DistanceKind,
+    dcb: usize,
+    ap: &[T],
+    bp: &[T],
+    q2: &[T],
+    r2: &[T],
+    mode: PassMode<'_, T>,
+) {
     debug_assert!(ap.len() >= dcb * T::MR);
     debug_assert!(bp.len() >= dcb * T::NR);
     debug_assert!(q2.len() >= T::MR && r2.len() >= T::NR);
-    T::fused_tile_pass(kind, dcb, ap, bp, q2, r2, mode)
+    T::fused_tile_pass(level, kind, dcb, ap, bp, q2, r2, mode)
 }
 
 impl FusedScalar for f64 {
     fn fused_tile_pass(
+        forced: SimdLevel,
         kind: DistanceKind,
         dcb: usize,
         ap: &[f64],
@@ -169,7 +190,6 @@ impl FusedScalar for f64 {
         #[cfg(target_arch = "x86_64")]
         {
             let vectorizable = !matches!(kind, DistanceKind::Lp(_));
-            let forced = simd_level();
             // `Auto` prefers AVX2: the `simd_ablation` harness measures the
             // AVX-512 kernel a few percent *slower* on the Xeons we target
             // (permute overhead in the two-rows-per-register layout plus
@@ -220,6 +240,7 @@ impl FusedScalar for f64 {
 
 impl FusedScalar for f32 {
     fn fused_tile_pass(
+        forced: SimdLevel,
         kind: DistanceKind,
         dcb: usize,
         ap: &[f32],
@@ -231,7 +252,6 @@ impl FusedScalar for f32 {
         #[cfg(target_arch = "x86_64")]
         {
             let vectorizable = !matches!(kind, DistanceKind::Lp(_));
-            let forced = simd_level();
             // Same policy as f64: Auto prefers the 256-bit kernel; the
             // 512-bit one (16 lanes, two 8-wide tile rows per register)
             // must be opted into via `SimdLevel::Avx512`.
@@ -603,9 +623,9 @@ mod tests {
             DistanceKind::Cosine,
         ] {
             let run = |level: SimdLevel| {
-                set_simd_level(level);
                 let mut out = [T::ZERO; MAX_TILE];
-                tile_pass(
+                tile_pass_at(
+                    level,
                     kind,
                     d,
                     &ap,
@@ -617,7 +637,6 @@ mod tests {
                         out: &mut out,
                     },
                 );
-                set_simd_level(SimdLevel::Auto);
                 out
             };
             let scalar = run(SimdLevel::Scalar);
@@ -640,13 +659,11 @@ mod tests {
     fn all_simd_levels_agree() {
         // scalar / AVX2 / AVX-512 (whichever are supported) must produce
         // matching tiles on every vectorizable norm, in both precisions.
-        // (The only test that touches the global level, so it cannot race
-        // with other tests in the binary.)
-        set_simd_level(SimdLevel::Scalar);
-        assert_eq!(simd_level(), SimdLevel::Scalar);
-        set_simd_level(SimdLevel::Auto);
-        assert_eq!(simd_level(), SimdLevel::Auto);
-
+        // Levels are passed explicitly: forcing the process-wide level
+        // here would switch the kernels of tests running concurrently in
+        // this binary to another level mid-run, and their bit-identity
+        // checks would see last-ulp differences (tests/simd_level.rs
+        // covers the process-wide setting in a process of its own).
         simd_levels_agree_for::<f64>(1e-10);
         // f32: SIMD FMA keeps the product unrounded, the scalar path
         // rounds twice — a few f32 ulps of drift is expected

@@ -37,10 +37,11 @@
 //! All reports render as text tables and export as JSON (the `gsknn
 //! profile` CLI subcommand writes them under `bench_out/`).
 //!
-//! The crate's default `obs` feature forwards to `gsknn-core/obs`,
-//! compiling the phase probes into the kernel. Without it the profiler
-//! still times totals, but phase rows are zero and reports carry
-//! `obs_enabled = false`.
+//! The phase probes are compiled into the kernel only when the build
+//! names `gsknn-core/obs` explicitly (e.g. `cargo run -p cli --features
+//! gsknn-core/obs -- profile ...`); nothing turns it on by default.
+//! Without it the profiler still times totals, but phase rows are zero
+//! and reports carry `obs_enabled = false`.
 
 pub mod hist;
 pub mod profile;

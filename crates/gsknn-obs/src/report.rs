@@ -335,7 +335,9 @@ impl ProfileReport {
             self.predicted_gflops,
         ));
         if !self.obs_enabled {
-            out.push_str("phases: (obs feature disabled — phase probes compiled out)\n");
+            out.push_str(
+                "phases: (phase probes compiled out; build with --features gsknn-core/obs)\n",
+            );
         } else {
             out.push_str("phase breakdown:\n");
             out.push_str(&format!(

@@ -503,3 +503,106 @@ fn partitioned_backend_answers_with_global_ids() {
     shutdown(&b);
     h.join().expect("drain");
 }
+
+/// Stage attribution end to end in a build without the kernel's phase
+/// probes (`gsknn-core/obs` off, the default): each backend reports its
+/// kernel as one amortized `kernel: batch` span in the span annex, so
+/// the router still splits routed time into `kernel` and
+/// `backend_wait`. With the probes on the annex carries per-phase
+/// `kernel: *` spans instead and the same split holds.
+#[test]
+fn routed_queries_attribute_kernel_and_backend_wait() {
+    use serde_json::Value;
+
+    let full = uniform(N, D, 1);
+    let half = N / 2;
+    let (b0, h0) = spawn_server(
+        "127.0.0.1:0",
+        slice_rows(&full, 0, half),
+        Some(PartitionCfg::solo(0, 2, 0, EPOCH)),
+    );
+    let (b1, h1) = spawn_server(
+        "127.0.0.1:0",
+        slice_rows(&full, half, N),
+        Some(PartitionCfg::solo(1, 2, half as u32, EPOCH)),
+    );
+    let router = Router::bind(RouterConfig {
+        backends: vec![b0.clone(), b1.clone()],
+        epoch: EPOCH,
+        ..RouterConfig::default()
+    })
+    .expect("bind router");
+    let raddr = router.local_addr().expect("router addr").to_string();
+    let hr = std::thread::spawn(move || router.run());
+
+    let queries = uniform(M, D, 5);
+    let coords: Vec<f64> = (0..M).flat_map(|i| queries.point(i).to_vec()).collect();
+    let mut client = Client::connect(&raddr).expect("connect router");
+    let ids = [0xa77b_0001u64, 0xa77b_0002];
+    for &id in &ids {
+        let reply = client
+            .query_traced::<f64>(&coords, M, K, 2000, id)
+            .expect("routed query");
+        assert!(
+            matches!(reply.outcome, Outcome::Neighbors(_)),
+            "healthy router answered {:?}",
+            reply.outcome
+        );
+    }
+
+    let stats: Value = serde_json::from_str(&client.stats().expect("stats")).expect("stats JSON");
+    let stage = |key: &str| {
+        stats
+            .get("stages")
+            .and_then(|s| s.get(key))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("stats JSON missing stages.{key}: {stats:?}"))
+    };
+    assert!(stage("kernel_ns") > 0, "kernel stage never attributed");
+    assert!(
+        stage("backend_wait_ns") > 0,
+        "backend wait never attributed"
+    );
+
+    for &id in &ids {
+        let body = client.trace_fetch(id).expect("trace fetch");
+        let doc: Value = serde_json::from_str(std::str::from_utf8(&body).expect("UTF-8"))
+            .expect("stitched trace JSON");
+        let names: Vec<&str> = doc
+            .get("traceEvents")
+            .and_then(Value::as_array)
+            .expect("traceEvents")
+            .iter()
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+            .filter_map(|e| e.get("name").and_then(Value::as_str))
+            .collect();
+        for backend in ["b0", "b1"] {
+            let kernel: Vec<&str> = names
+                .iter()
+                .copied()
+                .filter(|n| {
+                    n.strip_prefix(backend)
+                        .is_some_and(|rest| rest.starts_with(": kernel: "))
+                })
+                .collect();
+            assert!(
+                !kernel.is_empty(),
+                "trace {id:x}: {backend}'s annex has no kernel span: {names:?}"
+            );
+            if !gsknn_core::obs::enabled() {
+                assert_eq!(
+                    kernel,
+                    [format!("{backend}: kernel: batch")],
+                    "trace {id:x}"
+                );
+            }
+        }
+    }
+
+    client.shutdown().expect("router shutdown");
+    hr.join().expect("router drain");
+    shutdown(&b0);
+    shutdown(&b1);
+    h0.join().expect("backend 0 drain");
+    h1.join().expect("backend 1 drain");
+}

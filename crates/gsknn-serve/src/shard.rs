@@ -537,7 +537,7 @@ pub(crate) fn flush_lane<T: FusedScalar>(
         };
         let share = job.m as f64 / m_live as f64;
         job.trace.coalesce_end(k_start);
-        job.trace.add_phases(k_start, &phases, share);
+        job.trace.add_phases(k_start, &phases, measured, share);
         sink(job, Reply::Table(reply_table, status));
     }
     pending.clear();
@@ -557,7 +557,8 @@ struct Conn {
     outpos: usize,
     /// Queries parked in a lane on behalf of this connection. Frame
     /// parsing pauses while nonzero, keeping replies in request order
-    /// (the wire protocol is strictly serial per connection).
+    /// (the wire protocol is strictly serial per connection); frames
+    /// pipelined behind the query stay in `inbuf` until it is answered.
     pending: u32,
     /// Close once `outbuf` drains (shutdown reply sent).
     closing: bool,
@@ -595,6 +596,21 @@ impl Conn {
                 Err(_) => return false,
             }
         }
+    }
+
+    /// Length of the next buffered frame once its whole payload has
+    /// arrived — or as soon as its prefix names an oversized frame, which
+    /// the parser rejects. `None` while the frame is incomplete.
+    fn buffered_frame(&self) -> Option<usize> {
+        let avail = &self.inbuf[self.instart..];
+        let len = u32::from_le_bytes(avail.get(..4)?.try_into().unwrap()) as usize;
+        (len > MAX_FRAME || avail.len() >= 4 + len).then_some(len)
+    }
+
+    /// Whether the parser can make progress without new socket input:
+    /// a complete frame is buffered and no parked query blocks it.
+    fn parse_ready(&self) -> bool {
+        !self.closing && self.pending == 0 && self.buffered_frame().is_some()
     }
 
     /// Push buffered output. Returns `false` when the peer is gone.
@@ -693,14 +709,21 @@ pub(crate) fn shard_main(ctx: ShardCtx<'_>) {
                 fd_slots.push(i);
             }
         }
-        let timeout = poll_timeout_ms(&lane64, &lane32, draining, Instant::now());
+        // Frames pipelined behind a query that has since been answered
+        // are already buffered: the socket will not turn readable for
+        // them, so poll without blocking and parse them below.
+        let timeout = if conns.iter().flatten().any(Conn::parse_ready) {
+            0
+        } else {
+            poll_timeout_ms(&lane64, &lane32, draining, Instant::now())
+        };
         if fds.is_empty() {
             std::thread::sleep(Duration::from_millis(timeout.max(1) as u64));
         } else if poll_fds(&mut fds, timeout).is_err() {
             std::thread::sleep(Duration::from_millis(1));
         }
         for (pi, &slot) in fd_slots.iter().enumerate() {
-            if !fds[pi].ready() {
+            if !fds[pi].ready() && !conns[slot].as_ref().is_some_and(Conn::parse_ready) {
                 continue;
             }
             let mut dead = false;
@@ -874,21 +897,11 @@ fn parse_frames(
         if conn.closing || conn.pending > 0 {
             break;
         }
-        let avail = conn.inbuf.len() - conn.instart;
-        if avail < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes(
-            conn.inbuf[conn.instart..conn.instart + 4]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        if len > MAX_FRAME {
-            return false;
-        }
-        if avail < 4 + len {
-            break;
-        }
+        let len = match conn.buffered_frame() {
+            None => break,
+            Some(len) if len > MAX_FRAME => return false,
+            Some(len) => len,
+        };
         let range = conn.instart + 4..conn.instart + 4 + len;
         conn.instart += 4 + len;
         handle_frame(conn, slot, range, shared, lane64, lane32);

@@ -17,11 +17,14 @@
 //! [`Job`]: crate::server — the lane job struct
 //!
 //! Span amortization: a coalesced batch runs the kernel once for all
-//! its requests, so per-request kernel-phase spans are the batch's
-//! phase totals scaled by the request's share of the batch (`m / m_live`
-//! query points). The synthetic spans are laid out sequentially after
-//! the coalesce wait; their durations — not their exact offsets — are
-//! the signal.
+//! its requests, so per-request kernel spans are the batch's times
+//! scaled by the request's share of the batch (`m / m_live` query
+//! points). With the kernel's phase probes compiled in
+//! (`gsknn-core/obs`) that is one span per phase; without them — the
+//! default build — it is a single `kernel: batch` span cut from the
+//! batch's measured kernel wall time. The synthetic spans are laid out
+//! sequentially after the coalesce wait; their durations — not their
+//! exact offsets — are the signal.
 
 use gsknn_core::obs::PhaseSet;
 use gsknn_obs::Trace;
@@ -145,30 +148,40 @@ impl ReqTrace {
         }
     }
 
-    /// Attribute this request's share of the batch's kernel-phase times:
-    /// one span per non-empty phase, `share` (= `m / m_live`) of the
-    /// batch total, laid out sequentially from `kernel_start`.
+    /// Attribute this request's share (`m / m_live`) of the batch's
+    /// kernel time, laid out sequentially from `kernel_start`: one span
+    /// per non-empty phase when the batch recorded phases, else one
+    /// `kernel: batch` span of the batch's measured wall time
+    /// `batch_s`.
     #[inline]
-    pub fn add_phases(&mut self, kernel_start: Instant, phases: &PhaseSet, share: f64) {
+    pub fn add_phases(
+        &mut self,
+        kernel_start: Instant,
+        phases: &PhaseSet,
+        batch_s: f64,
+        share: f64,
+    ) {
         #[cfg(feature = "obs")]
         if let Some(inner) = &mut self.inner {
             let mut at = kernel_start.duration_since(inner.t0).as_secs_f64() * 1e6;
-            for (phase, seconds, _count) in phases.rows() {
-                if seconds <= 0.0 {
-                    continue;
-                }
+            let mut push = |name: String, seconds: f64| {
                 let dur_us = seconds * share * 1e6;
-                inner.spans.push(TraceSpan::new(
-                    format!("kernel: {}", phase.name()),
-                    at,
-                    dur_us,
-                ));
+                inner.spans.push(TraceSpan::new(name, at, dur_us));
                 at += dur_us;
+            };
+            if phases.total_seconds() > 0.0 {
+                for (phase, seconds, _count) in phases.rows() {
+                    if seconds > 0.0 {
+                        push(format!("kernel: {}", phase.name()), seconds);
+                    }
+                }
+            } else {
+                push("kernel: batch".to_string(), batch_s);
             }
         }
         #[cfg(not(feature = "obs"))]
         {
-            let _ = (kernel_start, phases, share);
+            let _ = (kernel_start, phases, batch_s, share);
         }
     }
 
@@ -457,6 +470,23 @@ mod tests {
         assert!(trace.t0_us >= 2_000.0, "t0 is after the epoch");
         // the two spans cover nearly the whole request
         assert!(trace.span_sum_us() <= trace.total_us * 1.05);
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn batch_without_phases_yields_one_amortized_kernel_span() {
+        let t0 = Instant::now();
+        let mut t = ReqTrace::start(t0, t0);
+        t.add_phases(t0, &PhaseSet::default(), 0.004, 0.25);
+        let trace = t
+            .finish(3, "f64", "ok", Duration::from_millis(2))
+            .expect("obs build yields a trace");
+        assert_eq!(trace.spans.len(), 1);
+        assert_eq!(trace.spans[0].name, "kernel: batch");
+        assert!(
+            (trace.spans[0].dur_us - 1_000.0).abs() < 1e-6,
+            "a quarter of 4 ms"
+        );
     }
 
     #[cfg(feature = "obs")]

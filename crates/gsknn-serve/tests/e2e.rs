@@ -687,3 +687,68 @@ fn shutdown_drains_pending_work() {
         report.flushes
     );
 }
+
+/// Query frames pipelined on one connection are answered, in order.
+/// The shard parks a connection's parser while one of its queries waits
+/// in a lane; the frames that arrived behind it must be parsed once it
+/// is answered, not only when the socket next turns readable (which,
+/// with the client waiting for replies, would be never).
+#[test]
+fn pipelined_query_frames_are_answered_in_order() {
+    use gsknn_serve::wire::QueryBody;
+    use gsknn_serve::{Precision, Request, Status};
+
+    let (addr, handle) = start_server(ServerConfig::default());
+    let refs64 = dataset::uniform(N, D, 1);
+    let refs32 = refs64.cast::<f32>();
+    let pool = dataset::uniform(4, D, 31);
+    let k = 5;
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .set_io_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let precision = |i: usize| [Precision::F64, Precision::F32][i % 2];
+    let ids: Vec<u64> = (0..4).map(|i| 0x5eed_0000 + i).collect();
+    for (i, &trace_id) in ids.iter().enumerate() {
+        client
+            .send_request(&Request::Query(QueryBody {
+                precision: precision(i),
+                k,
+                deadline_ms: 120,
+                trace_id,
+                dim: D,
+                m: 1,
+                coords: pool.point(i).to_vec(),
+            }))
+            .expect("send");
+    }
+    for (i, &trace_id) in ids.iter().enumerate() {
+        let resp = client
+            .recv_response()
+            .expect("every pipelined frame is answered");
+        assert_eq!(resp.status, Status::Ok, "reply {i}");
+        assert_eq!(resp.trace_id, trace_id, "reply {i} answers frame {i}");
+        let (got, want) = match precision(i) {
+            Precision::F64 => reply_ids_and_oracle(&resp.body, &refs64, pool.point(i), k),
+            Precision::F32 => reply_ids_and_oracle(&resp.body, &refs32, pool.point(i), k),
+        };
+        assert_eq!(got, want, "reply {i} neighbours");
+    }
+    client.shutdown().expect("shutdown");
+    let report = handle.join().expect("server thread");
+    assert_eq!(report.queries, 4);
+}
+
+/// The neighbour ids of a one-row table reply and the brute-force ids
+/// for the same point at the table's precision.
+fn reply_ids_and_oracle<T: FusedScalar>(
+    body: &[u8],
+    refs: &PointSet<T>,
+    q: &[f64],
+    k: usize,
+) -> (Vec<u32>, Vec<u32>) {
+    let table = knn_select::NeighborTable::<T>::from_bytes(body).expect("table reply");
+    let got = table.row(0).iter().map(|nb| nb.idx).collect();
+    let q: Vec<T> = q.iter().map(|&v| T::from_f64(v)).collect();
+    (got, brute_indices(refs, &q, k))
+}
